@@ -28,25 +28,6 @@ fn run(cfg: SsdConfig, trace: &Trace) -> cagc_core::RunReport {
     report
 }
 
-/// The knob default (off) must leave the synchronous path bit-for-bit
-/// untouched — the whole report, not just a few counters.
-#[test]
-fn preempt_off_is_byte_identical_to_before() {
-    let trace = churn_trace(5, 9_000);
-    for scheme in Scheme::EXTENDED {
-        let base = run(SsdConfig::tiny(scheme), &trace);
-        let mut cfg = SsdConfig::tiny(scheme);
-        cfg.gc_preempt = false; // explicit, same as default
-        let again = run(cfg, &trace);
-        assert_eq!(
-            base.to_json().render(),
-            again.to_json().render(),
-            "{} diverged with preempt knob present",
-            scheme.name()
-        );
-    }
-}
-
 /// Sliced GC still reclaims space, keeps every cross-structure invariant,
 /// and conserves data: same pages written, nothing lost.
 #[test]
