@@ -10,6 +10,9 @@ cargo build --release --offline
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== benchmark self-checks (perfbench tests: dense index == scan, traced == untraced, determinism) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (offline, deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -20,6 +23,16 @@ echo "== smoke: regenerate Fig. 9 (tracing disabled => byte-identical CSV) =="
 cargo run --release --offline -p cagc-bench --bin repro -- fig9
 git diff --exit-code -- results/fig9.csv \
   || { echo "FAIL: untraced repro must regenerate results/fig9.csv byte-identical"; exit 1; }
+
+echo "== goldens: default-scale policy, idle-GC, fault, queue-depth and chaos sweeps =="
+# Together these cover the Random and Cost-Benefit victim policies, idle
+# GC, injected faults and preemptive GC against committed bytes, not just
+# against a second run of the same build.
+cargo run --release --offline -p cagc-bench --bin repro -- \
+  fig13 ablate-idle-gc sweep-faults sweep-qd sweep-chaos > /dev/null
+git diff --exit-code -- results/fig13.csv results/ablate_idle_gc.csv results/sweep_faults.csv \
+  results/sweep_qd.csv results/gc_preempt_cdf.csv results/sweep_chaos.csv \
+  || { echo "FAIL: repro must regenerate the default-scale sweep goldens byte-identical"; exit 1; }
 
 echo "== smoke: deterministic trace (Chrome JSON, parser round-trip, seed-stable) =="
 TRACE_TMP="$(mktemp -d)"
