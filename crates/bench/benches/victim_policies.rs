@@ -32,7 +32,7 @@ fn bench_policies(c: &mut Bench) {
                     let mut now = 0u64;
                     b.iter(|| {
                         now += 1_000_000;
-                        sel.select(std::hint::black_box(cands), now)
+                        sel.select_streaming(std::hint::black_box(cands).iter().copied(), now)
                     })
                 },
             );

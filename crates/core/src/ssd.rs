@@ -30,6 +30,7 @@ use cagc_trace::{TraceConfig, Tracer, Track};
 use cagc_workloads::{OpKind, Request, Trace};
 
 use crate::config::{Scheme, SsdConfig};
+use crate::gc::GcStop;
 use crate::recovery::RecoveryReport;
 use crate::report::{FaultReport, HealthLog, LatencySummary, RunReport};
 
@@ -218,8 +219,14 @@ pub struct Ssd {
     /// Scratch for sharer sets detached during migration (journaling paths
     /// that need `&mut self` while walking the set).
     pub(crate) sharers_scratch: Vec<Lpn>,
-    /// Scratch for a victim's valid-page snapshot.
+    /// Scratch for one blind-migration batch (a GC step's still-valid
+    /// pages).
     pub(crate) valids_scratch: Vec<Ppn>,
+    /// Page-snapshot buffer recycled from the last finished [`GcJob`], so
+    /// selecting a victim does not allocate.
+    ///
+    /// [`GcJob`]: crate::gc::GcJob
+    pub(crate) gc_pages: Vec<Ppn>,
     /// Scratch for batched blind migration: `(old ppn, new ppn, program
     /// end)` per migrated page, applied as one grouped metadata pass.
     pub(crate) gc_batch: Vec<(Ppn, Ppn, Nanos)>,
@@ -274,6 +281,7 @@ impl Ssd {
             gc_job: None,
             sharers_scratch: Vec::new(),
             valids_scratch: Vec::new(),
+            gc_pages: Vec::new(),
             gc_batch: Vec::new(),
             first_retirement_ns: None,
             end_ns: 0,
@@ -929,7 +937,7 @@ impl Ssd {
                 return Err(FlashError::Unrecoverable { at: ready });
             }
             let freed_from = self.alloc.free_blocks();
-            self.force_gc_inner(ready)?;
+            self.gc_run(ready, None, GcStop::Once)?;
             attempts += 1;
             if self.alloc.free_blocks() <= freed_from && attempts > 64 {
                 panic!(

@@ -212,3 +212,86 @@ fn faulted_run_traces_retries_and_recovery() {
     assert_eq!(recover.track, Track::Fault);
     assert!(matches!(recover.kind, EventKind::Span { .. }));
 }
+
+/// Every GC erase lies inside a `gc_round` or `gc_slice` container span,
+/// including the whole victims that urgent escalation collects when
+/// 1-page slices fall behind the writes. `GcAnatomy` attributes phase time
+/// only inside those containers, so an uncovered erase would vanish from
+/// the Fig. 8 decomposition; and each escalation must show up as a
+/// `gc_round` opening at its `gc_urgent` instant.
+#[test]
+fn every_gc_erase_lies_inside_a_container_span() {
+    let flash = cagc_flash::UllConfig::tiny_for_tests();
+    // Sparse arrivals keep the dies idle between requests, so a container
+    // span cannot cover a stray erase just by reaching into a queue.
+    let trace = cagc_workloads::SynthConfig {
+        name: "urgent".into(),
+        requests: 9_000,
+        logical_pages: (flash.logical_pages() as f64 * 0.9) as u64,
+        write_ratio: 0.95,
+        mean_interarrival_ns: 300_000,
+        seed: 3,
+        ..Default::default()
+    }
+    .generate();
+    let mut cfg = SsdConfig::tiny(Scheme::Baseline);
+    cfg.gc_preempt = true;
+    cfg.gc_slice_pages = 1;
+    let mut ssd = traced_ssd(cfg, TraceConfig::default());
+    ssd.replay(&trace);
+    let events = ssd.tracer().events();
+    assert_eq!(ssd.tracer().dropped_events(), 0, "the check needs every event");
+
+    let span = |e: &cagc_trace::Event| match e.kind {
+        EventKind::Span { start_ns, end_ns } => Some((start_ns, end_ns)),
+        _ => None,
+    };
+    let mut containers: Vec<(u64, u64)> = events
+        .iter()
+        .filter(|e| e.track == Track::Gc && matches!(e.name, "gc_round" | "gc_slice"))
+        .filter_map(span)
+        .collect();
+    containers.sort_unstable();
+    // reach[i]: the latest end among containers[..=i] (all start no later
+    // than containers[i]), so an interval is covered iff the last
+    // container starting at or before it reaches past its end.
+    let reach: Vec<u64> = containers
+        .iter()
+        .scan(0, |m, &(_, end)| {
+            *m = end.max(*m);
+            Some(*m)
+        })
+        .collect();
+    let erases: Vec<(u64, u64)> = events
+        .iter()
+        .filter(|e| e.name == "erase" && matches!(e.track, Track::Die { .. }))
+        .filter_map(span)
+        .collect();
+    assert!(!erases.is_empty(), "the replay must erase");
+    let uncovered = erases
+        .iter()
+        .filter(|&&(start, end)| {
+            let i = containers.partition_point(|&(s, _)| s <= start);
+            i == 0 || reach[i - 1] < end
+        })
+        .count();
+    assert_eq!(uncovered, 0, "{uncovered} of {} GC erases outside every container span", erases.len());
+
+    let urgent: Vec<u64> = events
+        .iter()
+        .filter(|e| e.name == "gc_urgent")
+        .filter_map(|e| match e.kind {
+            EventKind::Instant { at_ns } => Some(at_ns),
+            _ => None,
+        })
+        .collect();
+    assert!(urgent.len() > 100, "1-page slices must escalate often, got {}", urgent.len());
+    let rounds: std::collections::HashSet<u64> = events
+        .iter()
+        .filter(|e| e.name == "gc_round")
+        .filter_map(span)
+        .map(|(start, _)| start)
+        .collect();
+    let missing = urgent.iter().filter(|at| !rounds.contains(at)).count();
+    assert_eq!(missing, 0, "{missing} of {} escalations without a gc_round", urgent.len());
+}

@@ -123,61 +123,14 @@ impl VictimSelector {
         self.kind
     }
 
-    /// Choose a victim among `candidates` (each must have `invalid > 0`;
-    /// callers pre-filter). Returns `None` when there is nothing to reclaim.
-    pub fn select(&mut self, candidates: &[VictimCandidate], now: Nanos) -> Option<BlockId> {
-        if candidates.is_empty() {
-            return None;
-        }
-        match self.kind {
-            VictimKind::Random => {
-                let i = self.rng.gen_range_usize(0..candidates.len());
-                Some(candidates[i].block)
-            }
-            VictimKind::Greedy => candidates
-                .iter()
-                // max reclaim gain (invalid + stranded); ties: most trim
-                // garbage (stable — deferring a trim-heavy block gains
-                // nothing, while an overwrite-hot block grows more invalid
-                // pages by waiting), then least-worn, then lowest id
-                // (stable).
-                .min_by_key(|c| {
-                    (u32::MAX - (c.invalid + c.stranded), u32::MAX - c.trimmed, c.erase_count, c.block)
-                })
-                .map(|c| c.block),
-            VictimKind::CostBenefit => candidates
-                .iter()
-                .map(|c| (Self::cost_benefit_score(c, now), c))
-                // max score; ties broken deterministically by id.
-                .min_by(|(sa, ca), (sb, cb)| {
-                    sb.partial_cmp(sa)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(ca.block.cmp(&cb.block))
-                })
-                .map(|(_, c)| c.block),
-            VictimKind::Fifo => candidates
-                .iter()
-                .min_by_key(|c| (c.last_modified, c.block))
-                .map(|c| c.block),
-            VictimKind::DChoices => {
-                let d = VictimKind::D_CHOICES.min(candidates.len());
-                (0..d)
-                    .map(|_| &candidates[self.rng.gen_range_usize(0..candidates.len())])
-                    .min_by_key(|c| {
-                        (u32::MAX - (c.invalid + c.stranded), u32::MAX - c.trimmed, c.erase_count, c.block)
-                    })
-                    .map(|c| c.block)
-            }
-        }
-    }
-
-    /// Choose a victim from a candidate *stream* without materializing it.
+    /// Choose a victim from a candidate stream (each candidate must
+    /// reclaim something; callers pre-filter). Returns `None` when the
+    /// stream is empty.
     ///
-    /// Semantically identical to collecting the iterator into a slice and
-    /// calling [`VictimSelector::select`] — same winner, same RNG draws —
-    /// but the deterministic policies (Greedy, Cost-Benefit, FIFO) fold the
-    /// stream in O(1) space. The sampling policies (Random, D-Choices) need
-    /// indexed access for their draws, so they buffer the stream into a
+    /// The deterministic policies (Greedy, Cost-Benefit, FIFO) fold the
+    /// stream in O(1) space, and their pick does not depend on stream
+    /// order. The sampling policies (Random, D-Choices) need indexed
+    /// access for their draws, so they buffer the stream into a
     /// selector-owned scratch vector (amortized allocation-free).
     pub fn select_streaming(
         &mut self,
@@ -185,13 +138,10 @@ impl VictimSelector {
         now: Nanos,
     ) -> Option<BlockId> {
         match self.kind {
-            VictimKind::Greedy => candidates
-                .min_by_key(|c| {
-                    (u32::MAX - (c.invalid + c.stranded), u32::MAX - c.trimmed, c.erase_count, c.block)
-                })
-                .map(|c| c.block),
+            VictimKind::Greedy => candidates.min_by_key(Self::greedy_key).map(|c| c.block),
             VictimKind::CostBenefit => candidates
                 .map(|c| (Self::cost_benefit_score(&c, now), c))
+                // max score; ties broken deterministically by id.
                 .min_by(|(sa, ca), (sb, cb)| {
                     sb.partial_cmp(sa)
                         .unwrap_or(std::cmp::Ordering::Equal)
@@ -205,11 +155,29 @@ impl VictimSelector {
                 let mut scratch = std::mem::take(&mut self.scratch);
                 scratch.clear();
                 scratch.extend(candidates);
-                let pick = self.select(&scratch, now);
+                let n = scratch.len();
+                let pick = if n == 0 {
+                    None
+                } else if self.kind == VictimKind::Random {
+                    Some(scratch[self.rng.gen_range_usize(0..n)].block)
+                } else {
+                    (0..VictimKind::D_CHOICES.min(n))
+                        .map(|_| scratch[self.rng.gen_range_usize(0..n)])
+                        .min_by_key(Self::greedy_key)
+                        .map(|c| c.block)
+                };
                 self.scratch = scratch;
                 pick
             }
         }
+    }
+
+    /// Greedy order: max reclaim gain (invalid + stranded); ties: most
+    /// trim garbage (stable — deferring a trim-heavy block gains nothing,
+    /// while an overwrite-hot block grows more invalid pages by waiting),
+    /// then least-worn, then lowest id.
+    fn greedy_key(c: &VictimCandidate) -> (u32, u32, u32, BlockId) {
+        (u32::MAX - (c.invalid + c.stranded), u32::MAX - c.trimmed, c.erase_count, c.block)
     }
 
     /// Kawaguchi benefit/cost: `age * (1 - u) / (2u)`, with `u` the valid
@@ -242,11 +210,16 @@ mod tests {
         }
     }
 
+    /// Run the selector over a candidate slice.
+    fn pick(s: &mut VictimSelector, cands: &[VictimCandidate], now: Nanos) -> Option<BlockId> {
+        s.select_streaming(cands.iter().copied(), now)
+    }
+
     #[test]
     fn empty_candidates_give_none() {
         for kind in VictimKind::EXTENDED {
             let mut s = VictimSelector::new(kind, 1);
-            assert_eq!(s.select(&[], 0), None);
+            assert_eq!(s.select_streaming(std::iter::empty(), 0), None);
         }
     }
 
@@ -255,7 +228,7 @@ mod tests {
         let mut s = VictimSelector::new(VictimKind::Fifo, 0);
         let cands = [cand(0, 10, 20, 0, 5_000), cand(1, 60, 4, 0, 1_000), cand(2, 5, 59, 0, 9_000)];
         // Block 1 is oldest despite being nearly full of valid data.
-        assert_eq!(s.select(&cands, 10_000), Some(1));
+        assert_eq!(pick(&mut s, &cands, 10_000), Some(1));
     }
 
     #[test]
@@ -266,7 +239,7 @@ mod tests {
         let mut s = VictimSelector::new(VictimKind::DChoices, 3);
         let mut total_invalid = 0u64;
         for _ in 0..200 {
-            let pick = s.select(&cands, 0).expect("candidates exist");
+            let pick = pick(&mut s, &cands, 0).expect("candidates exist");
             total_invalid += cands.iter().find(|c| c.block == pick).unwrap().invalid as u64;
         }
         let mean_pick = total_invalid as f64 / 200.0;
@@ -283,7 +256,7 @@ mod tests {
         let cands: Vec<VictimCandidate> = (0..50).map(|b| cand(b, 32, 32, 0, 0)).collect();
         let run = |seed| {
             let mut s = VictimSelector::new(VictimKind::DChoices, seed);
-            (0..20).map(|_| s.select(&cands, 0).unwrap()).collect::<Vec<_>>()
+            (0..20).map(|_| pick(&mut s, &cands, 0).unwrap()).collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
     }
@@ -292,14 +265,14 @@ mod tests {
     fn greedy_picks_most_invalid() {
         let mut s = VictimSelector::new(VictimKind::Greedy, 0);
         let cands = [cand(0, 60, 4, 0, 0), cand(1, 2, 62, 0, 0), cand(2, 30, 34, 0, 0)];
-        assert_eq!(s.select(&cands, 100), Some(1));
+        assert_eq!(pick(&mut s, &cands, 100), Some(1));
     }
 
     #[test]
     fn greedy_breaks_ties_by_wear_then_id() {
         let mut s = VictimSelector::new(VictimKind::Greedy, 0);
         let cands = [cand(5, 10, 20, 7, 0), cand(3, 10, 20, 2, 0), cand(4, 10, 20, 2, 0)];
-        assert_eq!(s.select(&cands, 0), Some(3)); // least worn, lowest id
+        assert_eq!(pick(&mut s, &cands, 0), Some(3)); // least worn, lowest id
     }
 
     #[test]
@@ -313,7 +286,7 @@ mod tests {
         let cands: Vec<VictimCandidate> =
             (0..5).map(|b| cand(b, 10, 20, if b == 3 { 1 } else { 9 }, 0)).collect();
         let picks_of_3 =
-            (0..200).filter(|_| s.select(&cands, 0) == Some(3)).count();
+            (0..200).filter(|_| pick(&mut s, &cands, 0) == Some(3)).count();
         assert!(
             picks_of_3 > 100,
             "least-worn block won only {picks_of_3}/200 tied selections"
@@ -328,7 +301,7 @@ mod tests {
         // pointer. Erasing it reclaims 44 pages — more than block 0's 30.
         let abandoned = VictimCandidate { stranded: 40, ..cand(1, 20, 4, 0, 0) };
         let cands = [cand(0, 34, 30, 0, 0), abandoned];
-        assert_eq!(s.select(&cands, 0), Some(1));
+        assert_eq!(pick(&mut s, &cands, 0), Some(1));
     }
 
     #[test]
@@ -338,7 +311,7 @@ mod tests {
         // pages, which can never revert to valid — collect it first.
         let trim_heavy = VictimCandidate { trimmed: 18, ..cand(7, 10, 20, 9, 0) };
         let cands = [cand(2, 10, 20, 0, 0), trim_heavy, cand(4, 10, 20, 0, 0)];
-        assert_eq!(s.select(&cands, 0), Some(7));
+        assert_eq!(pick(&mut s, &cands, 0), Some(7));
     }
 
     #[test]
@@ -347,14 +320,14 @@ mod tests {
         // More reclaimable pages beats better-attributed garbage.
         let trim_heavy = VictimCandidate { trimmed: 20, ..cand(1, 40, 20, 0, 0) };
         let cands = [cand(0, 30, 30, 0, 0), trim_heavy];
-        assert_eq!(s.select(&cands, 0), Some(0));
+        assert_eq!(pick(&mut s, &cands, 0), Some(0));
     }
 
     #[test]
     fn cost_benefit_prefers_empty_blocks_absolutely() {
         let mut s = VictimSelector::new(VictimKind::CostBenefit, 0);
         let cands = [cand(0, 0, 64, 0, 1_000_000), cand(1, 1, 63, 0, 0)];
-        assert_eq!(s.select(&cands, 2_000_000), Some(0));
+        assert_eq!(pick(&mut s, &cands, 2_000_000), Some(0));
     }
 
     #[test]
@@ -363,7 +336,7 @@ mod tests {
         // Block 0: half utilized but ancient. Block 1: slightly emptier but
         // just written. Age should dominate here.
         let cands = [cand(0, 32, 32, 0, 0), cand(1, 30, 34, 0, 99_999_000)];
-        assert_eq!(s.select(&cands, 100_000_000), Some(0));
+        assert_eq!(pick(&mut s, &cands, 100_000_000), Some(0));
     }
 
     #[test]
@@ -371,11 +344,11 @@ mod tests {
         let cands: Vec<VictimCandidate> = (0..10).map(|b| cand(b, 1, 63, 0, 0)).collect();
         let picks1: Vec<_> = {
             let mut s = VictimSelector::new(VictimKind::Random, 42);
-            (0..50).map(|_| s.select(&cands, 0).unwrap()).collect()
+            (0..50).map(|_| pick(&mut s, &cands, 0).unwrap()).collect()
         };
         let picks2: Vec<_> = {
             let mut s = VictimSelector::new(VictimKind::Random, 42);
-            (0..50).map(|_| s.select(&cands, 0).unwrap()).collect()
+            (0..50).map(|_| pick(&mut s, &cands, 0).unwrap()).collect()
         };
         assert_eq!(picks1, picks2, "same seed, same picks");
         let distinct: std::collections::HashSet<_> = picks1.iter().collect();
@@ -383,10 +356,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_select_agrees_with_slice_select() {
-        // Mixed candidate set with ties, stranded pages and trim garbage;
-        // every policy must pick the same victim from the stream as from
-        // the slice, with identical RNG evolution for the sampling ones.
+    fn deterministic_policies_ignore_candidate_order() {
+        // Mixed candidate set with ties, stranded pages and trim garbage:
+        // callers stream candidates in whatever order their index keeps,
+        // so Greedy, Cost-Benefit and FIFO must pick the same block from
+        // any permutation.
         let cands: Vec<VictimCandidate> = (0..40)
             .map(|b| {
                 let mut c = cand(b, 64 - (b % 13) * 4, (b % 13) * 4, b % 5, (b as Nanos) * 700);
@@ -395,25 +369,19 @@ mod tests {
                 c
             })
             .collect();
-        for kind in VictimKind::EXTENDED {
-            let mut by_slice = VictimSelector::new(kind, 99);
-            let mut by_stream = VictimSelector::new(kind, 99);
+        let mut shuffled = cands.clone();
+        shuffled.reverse();
+        shuffled.rotate_left(17);
+        for kind in [VictimKind::Greedy, VictimKind::CostBenefit, VictimKind::Fifo] {
+            let mut s = VictimSelector::new(kind, 99);
             for round in 0..30 {
                 let now = 1_000_000 + round * 50_000;
                 assert_eq!(
-                    by_stream.select_streaming(cands.iter().copied(), now),
-                    by_slice.select(&cands, now),
-                    "{kind:?} diverged at round {round}"
+                    pick(&mut s, &shuffled, now),
+                    pick(&mut s, &cands, now),
+                    "{kind:?} depends on order at round {round}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn streaming_select_empty_gives_none() {
-        for kind in VictimKind::EXTENDED {
-            let mut s = VictimSelector::new(kind, 1);
-            assert_eq!(s.select_streaming(std::iter::empty(), 0), None);
         }
     }
 
@@ -424,12 +392,12 @@ mod tests {
         let cands: Vec<VictimCandidate> =
             (0..16).map(|b| cand(b, 64 - b * 4, b * 4, 0, 0)).collect();
         let mut greedy = VictimSelector::new(VictimKind::Greedy, 0);
-        let g = greedy.select(&cands, 0).unwrap();
+        let g = pick(&mut greedy, &cands, 0).unwrap();
         assert_eq!(g, 15); // most invalid
         let mut random = VictimSelector::new(VictimKind::Random, 7);
         let mut total = 0u32;
         for _ in 0..100 {
-            let r = random.select(&cands, 0).unwrap();
+            let r = pick(&mut random, &cands, 0).unwrap();
             total += cands[r as usize].invalid;
         }
         assert!(total / 100 < cands[g as usize].invalid);

@@ -97,7 +97,7 @@ harness_proptest! {
             .collect();
         for kind in VictimKind::ALL {
             let mut s = VictimSelector::new(kind, seed);
-            let pick = s.select(&cands, now).expect("non-empty candidates");
+            let pick = s.select_streaming(cands.iter().copied(), now).expect("non-empty candidates");
             prop_assert!(cands.iter().any(|c| c.block == pick), "{kind:?} invented a block");
         }
     }
@@ -118,7 +118,7 @@ harness_proptest! {
             })
             .collect();
         let mut s = VictimSelector::new(VictimKind::Greedy, seed);
-        let pick = s.select(&cands, 0).unwrap();
+        let pick = s.select_streaming(cands.iter().copied(), 0).unwrap();
         let picked = cands.iter().find(|c| c.block == pick).unwrap();
         let best = cands.iter().map(|c| c.invalid).max().unwrap();
         prop_assert_eq!(picked.invalid, best);
