@@ -113,10 +113,15 @@ fn inspect(
 ) {
     use cagc_trace::{from_tracer, parse_jsonl, GcAnatomy, ParsedTrace, SpanProfile};
 
+    /// A missing or malformed trace is bad input, not a bug: report it
+    /// and exit 2 like a bad flag.
     fn load(path: &std::path::Path) -> ParsedTrace {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        parse_jsonl(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
+        fn fail(what: &str, path: &std::path::Path, e: impl std::fmt::Display) -> ! {
+            eprintln!("error: {what} {}: {e}", path.display());
+            std::process::exit(2);
+        }
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail("read", path, e));
+        parse_jsonl(&text).unwrap_or_else(|e| fail("parse", path, e))
     }
 
     if let Some((a, b)) = diff {

@@ -1087,7 +1087,7 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
         host.ssd().audit().expect("audit after sweep-qd cell");
         report
     };
-    let reports = map_ordered(&cells, scale.workers, run_cell);
+    let reports = map_ordered(&cells, scale.workers, 1, run_cell);
 
     // Anchor: QD=1 preempt-off is the sequential synchronous chain.
     let mut reference = Ssd::new(device(false));
@@ -1183,7 +1183,7 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
 
 /// Extension — fleet-scale multi-tenant simulation: N devices, each
 /// serving a tenant blend, fanned out over the deterministic dynamic
-/// scheduler (`cagc_harness::pool::map_ordered_dynamic_chunked`).
+/// scheduler (`cagc_harness::pool::map_ordered`).
 ///
 /// Four artifacts:
 ///

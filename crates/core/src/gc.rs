@@ -653,33 +653,23 @@ impl Ssd {
     /// no sharers of its own), in forward map, reverse map and — when fault
     /// injection is armed — the journal.
     ///
-    /// The fault-free fast path moves the reverse-map slot wholesale
-    /// ([`cagc_ftl::ReverseMap::relocate`], O(1) and allocation-free) after
-    /// retargeting the forward entries in place; journaling is skipped
-    /// outright because [`Ssd::journal`] is a no-op without faults armed.
-    /// With faults armed the sharer set is buffered through scratch so each
-    /// remap can be journaled between the map updates, byte-identical to
-    /// the original per-sharer loop.
+    /// The forward entries are retargeted in place and the reverse-map slot
+    /// moves wholesale ([`cagc_ftl::ReverseMap::relocate`], O(1) and
+    /// allocation-free). With faults armed, each sharer of `new` is then
+    /// journaled in slot order. A crash part-way through the journal leaves
+    /// only volatile maps ahead of it, and [`Ssd::recover`] rebuilds those
+    /// from OOB plus journal.
     fn remap_sharers(&mut self, old: Ppn, new: Ppn) -> Result<(), FlashError> {
+        debug_assert!(self.rmap.count(old) > 0, "relocating an unreferenced page");
+        for &l in self.rmap.lpns(old) {
+            self.map.set(l, new);
+        }
+        self.rmap.relocate(old, new);
         if self.dev.faults_active() {
-            let mut sharers = std::mem::take(&mut self.sharers_scratch);
-            self.rmap.take_into(old, &mut sharers);
-            debug_assert!(!sharers.is_empty(), "relocating an unreferenced page");
-            for &l in &sharers {
-                self.map.set(l, new);
-                self.rmap.add(new, l);
-                if let Err(e) = self.journal(JournalOp::Remap { lpn: l, ppn: new }) {
-                    self.sharers_scratch = sharers;
-                    return Err(e);
-                }
+            for i in 0..self.rmap.count(new) {
+                let lpn = self.rmap.lpns(new)[i];
+                self.journal(JournalOp::Remap { lpn, ppn: new })?;
             }
-            self.sharers_scratch = sharers;
-        } else {
-            debug_assert!(self.rmap.count(old) > 0, "relocating an unreferenced page");
-            for &l in self.rmap.lpns(old) {
-                self.map.set(l, new);
-            }
-            self.rmap.relocate(old, new);
         }
         Ok(())
     }

@@ -2,16 +2,17 @@
 //!
 //! Each simulation is single-threaded and deterministic; the experiment
 //! grid (workload × scheme × policy) is embarrassingly parallel. This
-//! module fans the grid out over the [`cagc_harness::pool`] scoped
-//! worker pool — the repro harness regenerates whole figures in one
-//! pass, and the deterministic partitioning guarantees the worker count
-//! never changes results.
+//! module fans the grid out over [`cagc_harness::pool::map_ordered`]
+//! with one cell per chunk: cell costs are skewed across workloads and
+//! schemes, so workers claim cells one at a time, and a 3-cell grid on 2
+//! workers no longer gives one worker two cells up front. The repro
+//! harness regenerates whole figures in one pass, and the deterministic
+//! partitioning guarantees the worker count never changes results.
 //!
 //! Cells that replay through the multi-queue host interface
 //! (`cagc-host`, e.g. the queue-depth sweep) don't fit the
-//! `(SsdConfig, &Trace)` shape; they call
-//! [`cagc_harness::pool::map_ordered`] directly with the same
-//! determinism guarantee.
+//! `(SsdConfig, &Trace)` shape; they call the same pool directly with
+//! the same determinism guarantee.
 
 use cagc_workloads::Trace;
 
@@ -28,7 +29,7 @@ pub fn run_cell(config: SsdConfig, trace: &Trace) -> RunReport {
 /// (0 ⇒ the machine's available parallelism). Results come back in input
 /// order regardless of scheduling.
 pub fn run_cells(cells: &[(SsdConfig, &Trace)], workers: usize) -> Vec<RunReport> {
-    cagc_harness::pool::map_ordered(cells, workers, |(config, trace)| {
+    cagc_harness::pool::map_ordered(cells, workers, 1, |(config, trace)| {
         run_cell(config.clone(), trace)
     })
 }

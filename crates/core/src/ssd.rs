@@ -355,12 +355,19 @@ impl Ssd {
     /// If simulated power is lost mid-request the request is *not*
     /// acknowledged: this wrapper absorbs the error and returns the
     /// arrival time. Callers that must tell acknowledged requests from
-    /// torn ones (crash tests) use [`Ssd::process_checked`].
+    /// torn ones (crash tests) use [`Ssd::process_status`].
     pub fn process(&mut self, req: &Request) -> Nanos {
-        self.process_checked(req).unwrap_or(req.at_ns)
+        self.process_status(req).map_or(req.at_ns, |c| c.end_ns)
     }
 
-    /// [`Ssd::process`] that reports power loss instead of absorbing it.
+    /// [`Ssd::process`] that reports power loss instead of absorbing it,
+    /// and also reports the command's NVMe-style completion status. Error
+    /// completions (media read error, write fault, write protected) are
+    /// *completions*: they are timed, recorded in the latency histograms
+    /// and counted like any other finished command — the status is how
+    /// layers above (host interface, fleet) learn the data never moved.
+    /// Fault-free runs always complete [`CmdStatus::Success`], and this
+    /// path is byte-identical to [`Ssd::process`] there.
     ///
     /// `Err(FlashError::PowerLoss)` means the request was torn: it was
     /// never acknowledged, volatile FTL state is now stale, and the only
@@ -369,21 +376,6 @@ impl Ssd {
     /// internally — program retries on fresh blocks, bad-block retirement,
     /// ECC re-reads — or are simulator bugs that panic at the failing
     /// call site.
-    ///
-    /// # Errors
-    /// Only [`FlashError::PowerLoss`] is ever returned.
-    pub fn process_checked(&mut self, req: &Request) -> Result<Nanos, FlashError> {
-        self.process_status(req).map(|c| c.end_ns)
-    }
-
-    /// [`Ssd::process_checked`] that also reports the command's NVMe-style
-    /// completion status. Error completions (media read error, write
-    /// fault, write protected) are *completions*: they are timed, recorded
-    /// in the latency histograms and counted like any other finished
-    /// command — the status is how layers above (host interface, fleet)
-    /// learn the data never moved. Fault-free runs always complete
-    /// [`CmdStatus::Success`], and this path is byte-identical to
-    /// [`Ssd::process`] there.
     ///
     /// # Errors
     /// Only [`FlashError::PowerLoss`] is ever returned (the request was

@@ -60,8 +60,8 @@ impl HashEngine {
 
 /// Real multi-threaded page fingerprinting over byte payloads.
 ///
-/// Deterministic output (order-preserving); the work is split into
-/// contiguous chunks, one per worker.
+/// Deterministic output (order-preserving); workers claim pages one at
+/// a time from [`cagc_harness::pool::map_ordered`].
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelHasher {
     workers: usize,
@@ -80,10 +80,7 @@ impl ParallelHasher {
 
     /// Fingerprint every page payload, preserving order.
     pub fn hash_pages(&self, pages: &[Vec<u8>]) -> Vec<Fingerprint> {
-        if self.workers == 1 || pages.len() < 2 * self.workers {
-            return pages.iter().map(|p| Fingerprint::of_bytes(p)).collect();
-        }
-        cagc_harness::pool::map_ordered(pages, self.workers, |p| Fingerprint::of_bytes(p))
+        cagc_harness::pool::map_ordered(pages, self.workers, 1, |p| Fingerprint::of_bytes(p))
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Everything content-addressed that the CAGC reproduction needs:
 //!
-//! * [`sha1`] / [`sha256`] — the fingerprint hash functions, implemented
-//!   from scratch (FIPS 180-4) and verified against published test vectors;
-//!   no crypto crate exists in the offline dependency budget.
+//! * [`sha1`] — the fingerprint hash function, implemented from scratch
+//!   (FIPS 180-4) and verified against published test vectors; no crypto
+//!   crate exists in the offline dependency budget.
 //! * [`fingerprint`] — [`ContentId`] (a page's logical content identity, as
 //!   carried by the FIU-style traces) and [`Fingerprint`] (its SHA-1
 //!   digest).
@@ -58,7 +58,6 @@ pub mod fpcache;
 pub mod index;
 pub mod refstats;
 pub mod sha1;
-pub mod sha256;
 
 pub use engine::{HashEngine, ParallelHasher};
 pub use fingerprint::{ContentId, Fingerprint};
@@ -66,4 +65,3 @@ pub use fpcache::FingerprintCache;
 pub use index::{FingerprintIndex, FpEntry, IndexStats};
 pub use refstats::RefCountStats;
 pub use sha1::Sha1;
-pub use sha256::Sha256;

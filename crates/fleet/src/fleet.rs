@@ -3,7 +3,7 @@
 
 use cagc_core::Scheme;
 use cagc_flash::{FaultConfig, UllConfig};
-use cagc_harness::pool::map_ordered_dynamic_chunked;
+use cagc_harness::pool::map_ordered;
 
 use crate::device::{simulate_device, DeviceSpec, TenantTrace};
 use crate::library::TraceLibrary;
@@ -145,9 +145,9 @@ fn build_specs(cfg: &FleetConfig, lib: &mut TraceLibrary) -> Vec<DeviceSpec> {
 }
 
 /// Run the whole fleet: every device cell is a pure function of its
-/// spec, scheduled over the deterministic dynamic pool (small chunks
-/// claimed from a shared cursor), results collected in device order and
-/// rolled up. Output is byte-identical at every worker count.
+/// spec, scheduled over the deterministic pool (`cfg.chunk`-device
+/// chunks claimed from a shared cursor), results collected in device
+/// order and rolled up. Output is byte-identical at every worker count.
 ///
 /// # Panics
 /// Panics on an empty fleet, empty mix list, a footprint outside
@@ -167,8 +167,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     );
     let mut lib = TraceLibrary::new();
     let specs = build_specs(cfg, &mut lib);
-    let reports =
-        map_ordered_dynamic_chunked(&specs, cfg.workers, cfg.chunk.max(1), simulate_device);
+    let reports = map_ordered(&specs, cfg.workers, cfg.chunk, simulate_device);
     FleetReport::aggregate(reports, lib.distinct())
 }
 

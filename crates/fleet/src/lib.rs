@@ -22,7 +22,7 @@
 //!   materialized) into `Ssd::process`, or a multi-queue NVMe-style
 //!   replay via `cagc_host` when queue pairs are configured.
 //! - [`fleet`] — the fan-out: device cells are pure functions of their
-//!   spec, scheduled with `map_ordered_dynamic_chunked`, so the
+//!   spec, scheduled with `cagc_harness::pool::map_ordered`, so the
 //!   [`FleetReport`] is byte-identical at every worker count.
 //! - [`analytic`] — Li/Lee/Lui-style mean-field write-amplification
 //!   curves (FIFO and greedy cleaning) the measured fleet WAF is

@@ -31,5 +31,5 @@ pub mod pool;
 pub mod prop;
 
 pub use json::{Json, ToJson};
-pub use pool::{map_ordered, map_ordered_dynamic};
+pub use pool::map_ordered;
 pub use prop::{Config as PropConfig, Strategy, TestCaseError};

@@ -3,38 +3,34 @@
 //! The simulator is single-threaded and deterministic; what runs in
 //! parallel is the *grid around it* — experiment cells, fleet devices,
 //! batch hashing — which is embarrassingly parallel. This module gives
-//! that fan-out a fixed contract:
+//! that fan-out one scheduler, [`map_ordered`], with a fixed contract:
 //!
-//! * **Deterministic partitioning** — work is split into chunks whose
-//!   boundaries are computed purely from the input, never from scheduler
-//!   state. The *static* path ([`map_ordered`]) hands one contiguous
-//!   chunk to each worker; the *dynamic* path ([`map_ordered_dynamic`])
-//!   splits the input into many small fixed-boundary chunks that workers
-//!   claim from a shared atomic cursor as they finish previous ones.
+//! * **Deterministic partitioning** — the input is split into chunks of
+//!   `chunk` items whose boundaries ([`chunk_bounds`]) are computed
+//!   purely from the input length and chunk size, never from the worker
+//!   count or scheduler state.
+//! * **Dynamic claiming** — workers claim the next unclaimed chunk from a
+//!   shared atomic cursor as they finish previous ones. This is greedy
+//!   list scheduling, so makespan ≤ (total work)/workers + max single
+//!   chunk: a worker that drew a cheap chunk immediately takes the next
+//!   one, and one expensive region of the input no longer strands every
+//!   other core.
 //! * **Ordered collection** — results come back in input order no matter
 //!   how the OS schedules the threads.
 //!
-//! Together these make `map_ordered*(items, 1, f)` and
-//! `map_ordered*(items, n, f)` produce *identical* output vectors whenever
-//! `f` is a pure function of its item, which is exactly the property the
-//! reproducibility tests assert (see `tests/hermetic_determinism.rs` at
-//! the workspace root and `tests/dynamic_pool.rs` in this crate).
+//! *Which* worker computes an item is scheduler-dependent; *what* is
+//! computed and *where the result lands* are not. So `map_ordered(items,
+//! 1, c, f)` and `map_ordered(items, n, c, f)` produce *identical* output
+//! vectors whenever `f` is a pure function of its item, which is exactly
+//! the property the reproducibility tests assert (see
+//! `tests/hermetic_determinism.rs` at the workspace root and
+//! `tests/dynamic_pool.rs` in this crate).
 //!
-//! ## Static vs dynamic
-//!
-//! The static path has zero coordination but poor load balance: with
-//! contiguous per-worker chunks, the slowest *chunk* bounds the wall
-//! clock, so one expensive region of the input strands every other core.
-//! The dynamic path trades one relaxed atomic `fetch_add` per chunk for
-//! greedy load balancing — a worker that drew a cheap chunk immediately
-//! claims the next unclaimed one — which is the classic list-scheduling
-//! bound: makespan ≤ (total work)/workers + max single item. *Which*
-//! worker computes an item becomes scheduler-dependent; *what* is
-//! computed and *where the result lands* do not, so byte-identity across
-//! worker counts is preserved for pure cell functions. Use the dynamic
-//! path whenever per-item runtimes are skewed (multi-tenant fleet
-//! devices, mixed-size experiment grids) and the static path when items
-//! are uniform and coordination must be zero.
+//! Chunk size is the only knob. Chunk 1 suits expensive, skewed items
+//! (a whole experiment cell or device replay), where one relaxed
+//! `fetch_add` per item is noise. A contiguous split with one block per
+//! worker is the same scheduler at chunk = ⌈n/w⌉; larger chunks amortize
+//! the claim when items are cheap and uniform.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,90 +47,32 @@ pub fn effective_workers(requested: usize, items: usize) -> usize {
     w.max(1).min(items.max(1))
 }
 
-/// The contiguous chunk bounds `[start, end)` owned by `worker` when
-/// `items` items are split over `workers` workers: the first
-/// `items % workers` chunks get one extra item. Purely arithmetic —
-/// this is the partitioning contract the determinism tests rely on.
-pub fn chunk_bounds(items: usize, workers: usize, worker: usize) -> (usize, usize) {
-    debug_assert!(worker < workers);
-    let base = items / workers;
-    let extra = items % workers;
-    let start = worker * base + worker.min(extra);
-    let len = base + usize::from(worker < extra);
-    (start, start + len)
-}
-
-/// Apply `f` to every item on up to `workers` scoped OS threads
-/// (`0` ⇒ machine parallelism) and return results in input order.
-///
-/// Each worker owns one contiguous chunk of the input (see
-/// [`chunk_bounds`]); a panic in any worker propagates to the caller.
-pub fn map_ordered<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = effective_workers(workers, items.len());
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut chunks: Vec<Option<Vec<R>>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (start, end) = chunk_bounds(items.len(), workers, w);
-            let slice = &items[start..end];
-            let f = &f;
-            handles.push(s.spawn(move || slice.iter().map(f).collect::<Vec<R>>()));
-        }
-        for (slot, h) in chunks.iter_mut().zip(handles) {
-            match h.join() {
-                Ok(v) => *slot = Some(v),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-    });
-    chunks
-        .into_iter()
-        .flat_map(|c| c.expect("every worker reports its chunk"))
-        .collect()
-}
-
 /// The fixed chunk bounds `[start, end)` of chunk `index` when `items`
 /// items are split into chunks of `chunk` items each (the last chunk may
-/// be short). Purely arithmetic in `(items, chunk, index)` — the worker
-/// count never moves a boundary, which is what keeps the dynamic
-/// scheduler's output worker-count-independent even for impure cell
-/// functions that observe their chunk-mates.
-pub fn dynamic_chunk_bounds(items: usize, chunk: usize, index: usize) -> (usize, usize) {
+/// be short; indices past the end give an empty range at `items`).
+/// Purely arithmetic in `(items, chunk, index)` — the worker count never
+/// moves a boundary, which keeps [`map_ordered`]'s output
+/// worker-count-independent even for impure cell functions that observe
+/// their chunk-mates.
+pub fn chunk_bounds(items: usize, chunk: usize, index: usize) -> (usize, usize) {
     let chunk = chunk.max(1);
     let start = (index * chunk).min(items);
     (start, (start + chunk).min(items))
 }
 
-/// Apply `f` to every item with *dynamic* chunk claiming: the input is
-/// split into fixed-boundary chunks of `chunk` items, workers claim the
-/// next unclaimed chunk from a shared atomic cursor, and results are
-/// collected in input order.
+/// Apply `f` to every item on up to `workers` scoped OS threads
+/// (`0` ⇒ machine parallelism) and return results in input order.
 ///
-/// Identical output contract to [`map_ordered`] — for a pure `f`, any
-/// worker count produces the same vector, byte for byte — but with
-/// greedy load balancing: a worker finishing a cheap chunk immediately
-/// takes the next one, so skewed per-item runtimes no longer strand
-/// cores the way static contiguous partitioning does.
+/// The input is split into fixed-boundary chunks of `chunk` items (see
+/// [`chunk_bounds`]; `0` is treated as 1), workers claim the next
+/// unclaimed chunk from a shared atomic cursor, and each chunk's results
+/// land in its own slot. For a pure `f`, any worker count and any chunk
+/// size produce the same vector, byte for byte. One worker (or one
+/// chunk) runs serially on the calling thread.
 ///
-/// A panic in `f` propagates to the caller (other workers drain the
-/// remaining chunks first, exactly like the static path's join).
-pub fn map_ordered_dynamic_chunked<T, R, F>(
-    items: &[T],
-    workers: usize,
-    chunk: usize,
-    f: F,
-) -> Vec<R>
+/// A panic in `f` propagates to the caller once the other workers have
+/// drained the remaining chunks.
+pub fn map_ordered<T, R, F>(items: &[T], workers: usize, chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -163,7 +101,7 @@ where
                     if c >= n_chunks {
                         break;
                     }
-                    let (start, end) = dynamic_chunk_bounds(items.len(), chunk, c);
+                    let (start, end) = chunk_bounds(items.len(), chunk, c);
                     mine.push((c, items[start..end].iter().map(f).collect()));
                 }
                 mine
@@ -187,44 +125,6 @@ where
         .collect()
 }
 
-/// [`map_ordered_dynamic_chunked`] with single-item chunks — the right
-/// default when each item is expensive (a whole device replay, a whole
-/// experiment cell) and the atomic claim is noise by comparison.
-pub fn map_ordered_dynamic<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_ordered_dynamic_chunked(items, workers, 1, f)
-}
-
-/// Run `f(worker_index)` once on each of `workers` scoped threads and
-/// return the results indexed by worker. The low-level entry point for
-/// callers that manage their own partitioning.
-pub fn run_workers<R, F>(workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.max(1);
-    let mut out: Vec<Option<R>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let f = &f;
-            handles.push(s.spawn(move || f(w)));
-        }
-        for (slot, h) in out.iter_mut().zip(handles) {
-            match h.join() {
-                Ok(v) => *slot = Some(v),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-    });
-    out.into_iter().map(|r| r.expect("worker result")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,51 +132,42 @@ mod tests {
     #[test]
     fn chunk_bounds_cover_exactly_once() {
         for items in [0usize, 1, 2, 7, 64, 101] {
-            for workers in 1usize..9 {
-                let mut covered = 0usize;
+            for chunk in [1usize, 2, 3, 16, 200] {
+                let n_chunks = items.div_ceil(chunk);
                 let mut expect_start = 0usize;
-                for w in 0..workers {
-                    let (s, e) = chunk_bounds(items, workers, w);
-                    assert_eq!(s, expect_start, "gap at worker {w}");
-                    assert!(e >= s);
-                    covered += e - s;
+                for c in 0..n_chunks {
+                    let (s, e) = chunk_bounds(items, chunk, c);
+                    assert_eq!(s, expect_start, "gap at chunk {c}");
+                    assert!(e > s, "empty chunk {c} for items={items} chunk={chunk}");
                     expect_start = e;
                 }
-                assert_eq!(covered, items, "items={items} workers={workers}");
-                assert_eq!(expect_start, items);
+                assert_eq!(expect_start, items, "items={items} chunk={chunk}");
+                // Out-of-range indices collapse to empty tail chunks.
+                let (s, e) = chunk_bounds(items, chunk, n_chunks + 3);
+                assert_eq!((s, e), (items, items));
             }
         }
     }
 
     #[test]
-    fn map_ordered_preserves_input_order() {
+    fn map_ordered_matches_serial_for_any_worker_count_and_chunk() {
         let items: Vec<u64> = (0..257).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for workers in [1, 2, 3, 8, 300] {
-            let out = map_ordered(&items, workers, |&x| x * 3);
-            assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>(), "workers={workers}");
+            // 1 and 7 are per-item claiming; ⌈257/workers⌉ is one block per worker.
+            for chunk in [0, 1, 7, items.len().div_ceil(workers), 500] {
+                let out = map_ordered(&items, workers, chunk, |&x| x * 3 + 1);
+                assert_eq!(out, serial, "workers={workers} chunk={chunk}");
+            }
         }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results() {
-        // The determinism contract: any worker count, same output bytes.
-        let items: Vec<u64> = (0..100).map(|i| i * i).collect();
-        let serial = map_ordered(&items, 1, |&x| format!("{:x}", x.wrapping_mul(0x9E3779B97F4A7C15)));
-        for workers in [2, 4, 7, 16] {
-            assert_eq!(map_ordered(&items, workers, |&x| format!("{:x}", x.wrapping_mul(0x9E3779B97F4A7C15))), serial);
-        }
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let out: Vec<u32> = map_ordered(&[] as &[u32], 4, |&x| x);
-        assert!(out.is_empty());
     }
 
     #[test]
     fn zero_workers_means_machine_sized() {
+        let out: Vec<u32> = map_ordered(&[] as &[u32], 4, 1, |&x| x);
+        assert!(out.is_empty());
         let items = [1u32, 2, 3];
-        assert_eq!(map_ordered(&items, 0, |&x| x + 1), vec![2, 3, 4]);
+        assert_eq!(map_ordered(&items, 0, 1, |&x| x + 1), vec![2, 3, 4]);
         assert!(effective_workers(0, 100) >= 1);
         assert_eq!(effective_workers(8, 3), 3);
         assert_eq!(effective_workers(2, 100), 2);
@@ -284,66 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_chunk_bounds_cover_exactly_once() {
-        for items in [0usize, 1, 2, 7, 64, 101] {
-            for chunk in [1usize, 2, 3, 16, 200] {
-                let n_chunks = items.div_ceil(chunk);
-                let mut expect_start = 0usize;
-                for c in 0..n_chunks {
-                    let (s, e) = dynamic_chunk_bounds(items, chunk, c);
-                    assert_eq!(s, expect_start, "gap at chunk {c}");
-                    assert!(e > s, "empty chunk {c} for items={items} chunk={chunk}");
-                    expect_start = e;
-                }
-                assert_eq!(expect_start, items, "items={items} chunk={chunk}");
-                // Out-of-range indices collapse to empty tail chunks.
-                let (s, e) = dynamic_chunk_bounds(items, chunk, n_chunks + 3);
-                assert_eq!((s, e), (items, items));
-            }
-        }
-    }
-
-    #[test]
-    fn dynamic_matches_serial_for_any_worker_count_and_chunk() {
-        let items: Vec<u64> = (0..257).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for workers in [1, 2, 3, 8, 300] {
-            for chunk in [1, 2, 7, 64, 500] {
-                let out = map_ordered_dynamic_chunked(&items, workers, chunk, |&x| x * 3 + 1);
-                assert_eq!(out, serial, "workers={workers} chunk={chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn dynamic_empty_and_zero_workers() {
-        let out: Vec<u32> = map_ordered_dynamic(&[] as &[u32], 4, |&x| x);
-        assert!(out.is_empty());
-        let items = [1u32, 2, 3];
-        assert_eq!(map_ordered_dynamic(&items, 0, |&x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom-dynamic")]
-    fn dynamic_worker_panic_propagates() {
-        map_ordered_dynamic(&[1u32, 2, 3, 4], 2, |&x| {
-            if x == 3 {
-                panic!("boom-dynamic");
-            }
-            x
-        });
-    }
-
-    #[test]
-    fn run_workers_indexes_results() {
-        let out = run_workers(5, |w| w * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40]);
-    }
-
-    #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
-        map_ordered(&[1u32, 2, 3, 4], 2, |&x| {
+        map_ordered(&[1u32, 2, 3, 4], 2, 1, |&x| {
             if x == 3 {
                 panic!("boom");
             }

@@ -1,16 +1,14 @@
-//! Determinism contract of the dynamic pool scheduler.
+//! Determinism contract of the pool scheduler.
 //!
-//! `map_ordered_dynamic` trades the static path's fixed item→worker
-//! assignment for atomic chunk claiming, so *which thread computes an
-//! item* is scheduler-dependent — these tests pin down everything that
-//! must **not** be: for a pure cell function the output vector is
-//! byte-identical to serial `map_ordered` at every worker count, even
-//! under adversarially skewed per-item runtimes, and a panicking cell
-//! propagates exactly like the static path.
+//! `map_ordered` hands out fixed-boundary chunks by atomic claiming, so
+//! *which thread computes an item* is scheduler-dependent — these tests
+//! pin down everything that must **not** be: for a pure cell function
+//! the output vector is byte-identical to a serial `iter().map()` at
+//! every worker count and chunk size, even under adversarially skewed
+//! per-item runtimes. A panicking cell is covered by
+//! `pool::tests::worker_panic_propagates`.
 
-use cagc_harness::pool::{
-    dynamic_chunk_bounds, map_ordered, map_ordered_dynamic, map_ordered_dynamic_chunked,
-};
+use cagc_harness::pool::{chunk_bounds, map_ordered};
 use cagc_harness::prop::*;
 use std::hint::black_box;
 
@@ -33,16 +31,16 @@ fn spin(units: u64) -> u64 {
 harness_proptest! {
     #![config(cases = 24)]
 
-    /// Dynamic output equals serial `map_ordered` for every worker count,
-    /// chunk size, and input shape.
+    /// Pool output equals a serial map for every worker count, chunk
+    /// size, and input shape.
     #[test]
     fn dynamic_is_byte_identical_to_serial(
         items in vec(0u64..u64::MAX, 0..120),
         chunk in 1usize..9,
     ) {
-        let serial = map_ordered(&items, 1, cell);
+        let serial: Vec<String> = items.iter().map(cell).collect();
         for workers in [1usize, 2, 3, 8] {
-            let dynamic = map_ordered_dynamic_chunked(&items, workers, chunk, cell);
+            let dynamic = map_ordered(&items, workers, chunk, cell);
             prop_assert_eq!(&dynamic, &serial, "workers={} chunk={}", workers, chunk);
         }
     }
@@ -53,7 +51,7 @@ harness_proptest! {
         let n_chunks = items.div_ceil(chunk);
         let mut next = 0usize;
         for c in 0..n_chunks {
-            let (s, e) = dynamic_chunk_bounds(items, chunk, c);
+            let (s, e) = chunk_bounds(items, chunk, c);
             prop_assert_eq!(s, next);
             prop_assert!(e > s && e <= items);
             next = e;
@@ -75,37 +73,12 @@ fn skewed_runtimes_never_change_output() {
     };
     let serial: Vec<String> = items.iter().map(skewed_cell).collect();
     for workers in [1usize, 2, 3, 8] {
-        for chunk in [1usize, 3] {
-            let out = map_ordered_dynamic_chunked(&items, workers, chunk, skewed_cell);
+        // ⌈64/workers⌉ is the one-block-per-worker shape.
+        for chunk in [1usize, 3, items.len().div_ceil(workers)] {
+            let out = map_ordered(&items, workers, chunk, skewed_cell);
             assert_eq!(out, serial, "workers={workers} chunk={chunk}");
         }
-        let out = map_ordered_dynamic(&items, workers, skewed_cell);
-        assert_eq!(out, serial, "workers={workers} chunk=1 (default)");
     }
-}
-
-/// A panic in a dynamic cell reaches the caller, matching the static
-/// path's behavior (`pool::tests::worker_panic_propagates`).
-#[test]
-fn dynamic_panic_propagation_matches_static() {
-    let items: Vec<u64> = (0..32).collect();
-    let poison = |&x: &u64| {
-        if x == 17 {
-            panic!("poisoned item");
-        }
-        x * 2
-    };
-    let static_panic =
-        std::panic::catch_unwind(|| map_ordered(&items, 4, poison)).unwrap_err();
-    let dynamic_panic =
-        std::panic::catch_unwind(|| map_ordered_dynamic(&items, 4, poison)).unwrap_err();
-    let msg = |p: &Box<dyn std::any::Any + Send>| {
-        p.downcast_ref::<&str>().map(|s| s.to_string())
-            .or_else(|| p.downcast_ref::<String>().cloned())
-            .expect("panic payload is a string")
-    };
-    assert_eq!(msg(&static_panic), "poisoned item");
-    assert_eq!(msg(&dynamic_panic), "poisoned item");
 }
 
 /// Machine-independent statement of the scheduling win the fleet bench
@@ -123,10 +96,11 @@ fn modelled_makespan_dynamic_beats_static_5x_on_skewed_fleet() {
     let costs: Vec<u64> = (0..64u64).map(|i| if i < 8 { 100 } else { 1 }).collect();
     let workers = 8usize;
 
-    // Static contiguous split: worker w owns chunk_bounds(items, workers, w).
+    // Static contiguous split: chunk = ⌈n/w⌉, so worker w owns chunk w.
+    let static_chunk = costs.len().div_ceil(workers);
     let static_makespan: u64 = (0..workers)
         .map(|w| {
-            let (s, e) = cagc_harness::pool::chunk_bounds(costs.len(), workers, w);
+            let (s, e) = chunk_bounds(costs.len(), static_chunk, w);
             costs[s..e].iter().sum::<u64>()
         })
         .max()

@@ -109,7 +109,7 @@ fn main() {
 
     let mut torn_at = None;
     for (i, req) in trace.requests.iter().enumerate() {
-        match ssd.process_checked(req) {
+        match ssd.process_status(req) {
             Ok(_) => {}
             Err(FlashError::PowerLoss) => {
                 torn_at = Some(i);

@@ -16,7 +16,7 @@
 //! |-------|------------|
 //! | [`sim`] | discrete-event substrate: clock, event queue, resource timelines |
 //! | [`flash`] | NAND device model: geometry, page/block state machine, Table I timing |
-//! | [`dedup`] | SHA-1/SHA-256, fingerprint index with refcounts, hash engine |
+//! | [`dedup`] | SHA-1, fingerprint index with refcounts, hash engine |
 //! | [`ftl`] | mapping table, reverse map, region allocator, victim policies |
 //! | [`core`] | the schemes: `Ssd`, content-aware GC (preemptible slices), reports |
 //! | [`host`] | NVMe-style multi-queue host interface: SQ/CQ pairs, doorbells, interrupt coalescing, GC pump |
